@@ -123,7 +123,7 @@ func benchShardGroup(b *testing.B, shards, parallel int) {
 }
 
 // BenchmarkKernelProcessSwitch measures the slow path: a full park/resume
-// round trip through a goroutine-backed process per event.
+// round trip through a coroutine-backed process per event.
 func BenchmarkKernelProcessSwitch(b *testing.B) {
 	e := NewEnv(1)
 	b.ReportAllocs()
@@ -165,5 +165,19 @@ func BenchmarkHeapPushPop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.push(event{at: Time(i % 512), seq: uint64(i)})
 		h.pop()
+	}
+}
+
+// BenchmarkKernelSpawn measures a whole process life: Go, the first resume,
+// and exit. It is the price of the coroutine switch: iter.Pull allocates the
+// coroutine and its next/stop/yield closures up front.
+func BenchmarkKernelSpawn(b *testing.B) {
+	e := NewEnv(1)
+	body := func(p *Proc) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Go("p", body)
+		e.Run()
 	}
 }

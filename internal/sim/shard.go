@@ -45,6 +45,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 )
 
@@ -89,8 +90,15 @@ type ShardGroup struct {
 
 	parallel int
 	workers  []chan workerCmd
-	done     chan struct{} // one completion token per finished worker command
-	sem      chan struct{} // bounds concurrently executing shards (nil: no cap)
+	done     chan *workerFault // one token per finished worker command; nil: clean
+	sem      chan struct{}     // bounds concurrently executing shards (nil: no cap)
+}
+
+// workerFault carries a process panic or runtime.Goexit out of a shard
+// worker, so the dispatcher can re-raise it on the RunUntil caller instead
+// of the barrier waiting forever for a worker that is gone.
+type workerFault struct {
+	val any // the recovered panic value; nil means runtime.Goexit
 }
 
 type workerCmd struct {
@@ -282,33 +290,53 @@ func (g *ShardGroup) ensureWorkers() {
 		return
 	}
 	g.workers = make([]chan workerCmd, len(g.shards))
-	g.done = make(chan struct{}, len(g.shards))
+	g.done = make(chan *workerFault, len(g.shards))
 	for i := range g.shards {
 		cmd := make(chan workerCmd, 1)
 		g.workers[i] = cmd
-		go func(i int) {
-			for c := range cmd {
-				if g.sem != nil {
-					g.sem <- struct{}{}
-				}
-				if c.phase == phaseDrain {
-					g.drainShard(i)
-				} else {
-					g.shards[i].runBefore(c.end)
-				}
-				if g.sem != nil {
-					<-g.sem
-				}
-				g.done <- struct{}{}
-			}
-		}(i)
+		go g.worker(i, cmd)
 	}
+}
+
+// worker executes shard i's commands until cmd is closed. A process panic or
+// runtime.Goexit ends the worker: its deferred handler frees the semaphore
+// slot it held and reports the fault in place of the completion token.
+func (g *ShardGroup) worker(i int, cmd <-chan workerCmd) {
+	held, closed := false, false
+	defer func() {
+		if closed {
+			return
+		}
+		r := recover() // nil: the process called runtime.Goexit
+		if held {
+			<-g.sem
+		}
+		g.done <- &workerFault{val: r}
+	}()
+	for c := range cmd {
+		if g.sem != nil {
+			g.sem <- struct{}{}
+			held = true
+		}
+		if c.phase == phaseDrain {
+			g.drainShard(i)
+		} else {
+			g.shards[i].runBefore(c.end)
+		}
+		if held {
+			<-g.sem
+			held = false
+		}
+		g.done <- nil
+	}
+	closed = true
 }
 
 // dispatch fans a phase out to the flagged shards and waits for all of them
 // — the barrier of the windowed protocol. The worker handshake (buffered
 // channel send per command, one completion token per worker) allocates
-// nothing in steady state.
+// nothing in steady state. Once every worker has reported, the first fault
+// is re-raised here: a panic as a panic, a Goexit as a Goexit.
 func (g *ShardGroup) dispatch(phase uint8, end Time, active []bool) {
 	n := 0
 	for i, on := range active {
@@ -317,8 +345,17 @@ func (g *ShardGroup) dispatch(phase uint8, end Time, active []bool) {
 			n++
 		}
 	}
+	var fault *workerFault
 	for ; n > 0; n-- {
-		<-g.done
+		if f := <-g.done; f != nil && fault == nil {
+			fault = f
+		}
+	}
+	if fault != nil {
+		if fault.val == nil {
+			runtime.Goexit()
+		}
+		panic(fault.val)
 	}
 }
 

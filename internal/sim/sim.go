@@ -1,5 +1,7 @@
+//go:build go1.23
+
 // Package sim implements a deterministic discrete-event simulation (DES)
-// kernel with cooperative, goroutine-backed processes.
+// kernel with cooperative, coroutine-backed processes.
 //
 // The kernel is the substrate for the whole KafkaDirect reproduction: the
 // RDMA fabric, the TCP stack, brokers, and clients all run as sim processes
@@ -12,11 +14,27 @@
 // The scheduler then pops the next event from a time-ordered heap and resumes
 // its process. Events with equal timestamps are ordered by insertion sequence,
 // which makes the simulation fully deterministic.
+//
+// Each process is a stdlib runtime coroutine (iter.Pull): resuming it is a
+// direct goroutine switch that bypasses the Go scheduler, about 200 ns per
+// park/resume round trip on a 2-CPU Xeon. iter.Pull needs Go 1.23; the
+// go1.23 build constraint above raises this file's language version without
+// bumping go.mod, whose go line nested modules that require this one
+// (perfbench) must match.
+//
+// A panic or runtime.Goexit (t.Fatal) inside a process unwinds the process
+// and is re-raised on the goroutine that called Run/RunUntil: a panic as a
+// string naming the process and carrying its original stack, a Goexit as a
+// Goexit. ShardGroup forwards both from its worker goroutines to the caller
+// of its own Run/RunUntil.
 package sim
 
 import (
 	"fmt"
+	"iter"
+	"math"
 	"math/rand"
+	"runtime/debug"
 	"time"
 )
 
@@ -34,7 +52,6 @@ type Env struct {
 	// resumptions); the benchmark harness reads it to report events/sec.
 	executed uint64
 
-	yield   chan struct{} // running process -> scheduler: "I blocked or exited"
 	stopped bool
 	live    int // processes spawned and not yet exited
 
@@ -51,10 +68,7 @@ type Env struct {
 // NewEnv returns a fresh environment with its clock at zero and a
 // deterministic random source derived from seed.
 func NewEnv(seed int64) *Env {
-	return &Env{
-		yield: make(chan struct{}),
-		rng:   rand.New(rand.NewSource(seed)),
-	}
+	return &Env{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -69,7 +83,7 @@ func (e *Env) Rand() *rand.Rand { return e.rng }
 
 // event is a scheduled occurrence: either resume a parked process or invoke
 // an inline callback (which must not block). Inline callbacks are the fast
-// path: the scheduler invokes them directly, with no goroutine handoff.
+// path: the scheduler invokes them directly, with no process switch.
 // An event carries either fn (a plain closure) or fnArg+arg (a shared
 // function applied to a caller-pooled argument, see AtArg) — the latter lets
 // hot paths schedule work without allocating a closure per event.
@@ -202,9 +216,14 @@ func (e *Env) AfterArg(d Time, fn func(any), arg any) { e.AtArg(e.now+d, fn, arg
 // Proc is a simulation process. All blocking operations take the process as
 // receiver so that misuse (blocking outside a process) is impossible to write.
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan wakeup
+	env  *Env
+	name string
+	// next resumes the process coroutine until it parks or exits; stop
+	// unwinds it; yield (inside the coroutine) hands control back to
+	// whoever called next. All three are dropped when the process exits.
+	next   func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
 	parked bool
 	dead   bool
 	// waitToken guards against stale timeout events waking a process that
@@ -213,14 +232,6 @@ type Proc struct {
 	// timedOut stages the timeout flag between the timer event firing and the
 	// scheduler resuming the process.
 	timedOut bool
-}
-
-type wakeup struct {
-	timedOut bool
-	token    uint64
-	// kill unwinds the process: park panics with a sentinel the process
-	// wrapper recovers, releasing the goroutine and everything it pins.
-	kill bool
 }
 
 // killSentinel is the panic value used to unwind processes on Shutdown.
@@ -237,49 +248,52 @@ func (p *Proc) Now() Time { return p.env.now }
 
 // Go spawns a new process running fn, scheduled to start at the current
 // virtual time. It is safe to call before Run and from within processes.
+//
+// The process runs as an iter.Pull coroutine. If fn panics, the panic is
+// re-raised on the goroutine driving the scheduler, as a string carrying the
+// process name and fn's stack; if fn calls runtime.Goexit (t.Fatal inside a
+// simulation process), the driving goroutine exits too. Either way the
+// process is marked dead before the scheduler unwinds.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan wakeup)}
+	p := &Proc{env: e, name: name}
 	e.live++
 	e.procs = append(e.procs, p)
-	go func() {
-		if w := <-p.resume; w.kill {
-			// Shut down before ever running.
-			p.dead = true
-			e.live--
-			e.yield <- struct{}{}
-			return
-		}
-		// The deferred handshake also runs if fn aborts via runtime.Goexit
-		// (e.g. t.Fatal inside a simulation process) or via the Shutdown
-		// sentinel, so the scheduler never deadlocks on a vanished process
-		// and finished simulations release their goroutines.
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
+			p.exit()
 			if r := recover(); r != nil {
 				if _, ok := r.(killSentinel); !ok {
-					panic(r)
+					panic(fmt.Sprintf("sim: process %q panicked: %v\n\n%s", p.name, r, debug.Stack()))
 				}
 			}
-			p.dead = true
-			e.live--
-			e.yield <- struct{}{}
 		}()
 		fn(p)
-	}()
+	})
 	e.push(e.now, p, nil)
 	return p
+}
+
+// exit marks the process dead and drops its coroutine handles, so a finished
+// process pins neither its coroutine nor what fn captured.
+func (p *Proc) exit() {
+	p.dead = true
+	p.env.live--
+	p.next, p.stop, p.yield = nil, nil, nil
 }
 
 // park suspends the calling process until it is woken. Returns true if the
 // wakeup was a timeout (see parkTimeout).
 func (p *Proc) park() bool {
 	p.parked = true
-	p.env.yield <- struct{}{}
-	w := <-p.resume
+	ok := p.yield(struct{}{})
 	p.parked = false
-	if w.kill {
-		panic(killSentinel{})
+	if !ok {
+		panic(killSentinel{}) // Shutdown called stop
 	}
-	return w.timedOut
+	to := p.timedOut
+	p.timedOut = false
+	return to
 }
 
 // wake schedules a parked process to resume at the current time. It must only
@@ -335,44 +349,20 @@ func (e *Env) Run() { e.RunUntil(-1) }
 // exactly deadline still run.
 func (e *Env) RunUntil(deadline Time) {
 	e.stopped = false
-	for e.events.len() > 0 && !e.stopped {
-		if deadline >= 0 && e.events.a[0].at > deadline {
-			e.now = deadline
-			return
-		}
-		ev := e.events.pop()
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		e.executed++
-		if ev.fn != nil {
-			// Inline fast path: timer/At callbacks run in scheduler context
-			// with no goroutine handoff.
-			ev.fn()
-			continue
-		}
-		if ev.fnArg != nil {
-			ev.fnArg(ev.arg)
-			continue
-		}
-		p := ev.proc
-		if p.dead {
-			continue
-		}
-		to := p.timedOut
-		p.timedOut = false
-		p.resume <- wakeup{timedOut: to, token: p.waitToken}
-		<-e.yield
+	end := Time(math.MaxInt64)
+	if deadline >= 0 && deadline < end {
+		end = deadline + 1
+	}
+	e.runBefore(end)
+	if deadline >= 0 && e.events.len() > 0 && !e.stopped {
+		e.now = deadline
 	}
 }
 
-// runBefore executes events strictly before end, then returns. Unlike
-// RunUntil it neither advances the clock to the bound nor treats the bound as
-// inclusive: it is the window-execution primitive of the sharded kernel
-// (shard.go), which must stop exactly at the conservative lookahead horizon.
-// The dispatch body mirrors RunUntil; keep the two in sync — the loop is the
-// hottest code in the repository and a shared helper would put a call (the
-// body contains channel operations, so it cannot inline) on every event.
+// runBefore executes events strictly before end, then returns. It is the one
+// dispatch loop of the kernel: RunUntil wraps it with an inclusive deadline
+// and the clock advance, and the sharded kernel (shard.go) calls it directly
+// to stop exactly at the conservative lookahead horizon.
 func (e *Env) runBefore(end Time) {
 	for e.events.len() > 0 && !e.stopped {
 		if e.events.a[0].at >= end {
@@ -384,6 +374,8 @@ func (e *Env) runBefore(end Time) {
 		}
 		e.executed++
 		if ev.fn != nil {
+			// Inline fast path: timer/At callbacks run in scheduler context
+			// with no process switch.
 			ev.fn()
 			continue
 		}
@@ -391,14 +383,9 @@ func (e *Env) runBefore(end Time) {
 			ev.fnArg(ev.arg)
 			continue
 		}
-		p := ev.proc
-		if p.dead {
-			continue
+		if p := ev.proc; !p.dead {
+			p.next()
 		}
-		to := p.timedOut
-		p.timedOut = false
-		p.resume <- wakeup{timedOut: to, token: p.waitToken}
-		<-e.yield
 	}
 }
 
@@ -424,8 +411,10 @@ func (e *Env) Shutdown() {
 		if p.dead {
 			continue
 		}
-		p.resume <- wakeup{kill: true}
-		<-e.yield
+		p.stop()
+		if !p.dead {
+			p.exit() // stopped before it ever ran: fn and its defer never started
+		}
 	}
 	e.procs = nil
 	e.events = eventHeap{}

@@ -35,6 +35,13 @@ go run ./cmd/kdlint -audit -budget scripts/kdlint_budget.txt ./...
 # race would corrupt everything downstream, so they gate the full suite.
 # The shard test matrices run parallel>1 configurations, so this is the
 # shards>1 race gate: real goroutines executing shard windows concurrently.
+# perfbench/ is its own module (it requires this one through a replace
+# directive), so ./... above never reaches it. Build and test it here so a
+# go.mod bump or an API change in the root module cannot silently break the
+# benchmark; -short skips its multi-rep digest test.
+echo "== perfbench module (build + short tests) =="
+(cd perfbench && go build -o /dev/null . && go test -short .)
+
 echo "== go test -race (sim, fabric, chaos, core, group) =="
 go test -race ./internal/sim/ ./internal/fabric/ ./internal/chaos/ ./internal/core/ ./internal/group/
 
