@@ -32,8 +32,9 @@ type MultiRDMAConsumer struct {
 	// busy partition cannot starve the others.
 	rr int
 
-	slotBuf []byte
-	scratch []byte
+	slotBuf     []byte
+	scratch     []byte
+	releaseResp kwire.ReleaseFileResp
 
 	// StatMetaReads counts slot-region reads: ONE per refresh, however many
 	// partitions are subscribed. StatDataReads counts data reads.
@@ -137,10 +138,16 @@ func (c *MultiRDMAConsumer) release(p *sim.Proc, sub *subscription) error {
 	if err := c.ctl.Send(p, kwire.Encode(c.corr, req)); err != nil {
 		return err
 	}
-	if _, err := c.ctl.Recv(p); err != nil {
+	raw, err := c.ctl.Recv(p)
+	if err != nil {
 		return err
 	}
-	return nil
+	_, err = kwire.DecodeInto(raw, &c.releaseResp)
+	c.ctl.Recycle(raw)
+	if err != nil {
+		return fmt.Errorf("client: release response: %w", err)
+	}
+	return c.releaseResp.Err.Err()
 }
 
 // refreshAllMetadata reads the smallest contiguous slot span covering every

@@ -61,6 +61,18 @@ func (b *Broker) startPullFetcher(pt *Partition) {
 	b.env.Go(fmt.Sprintf("%s/fetcher/%s", b.id, pt.key()), func(p *sim.Proc) {
 		var conn *tcpnet.Conn
 		var corr uint32
+		// Encode and decode state reused across fetches: DecodeInto copies
+		// every byte out of the frame, and AppendReplicated copies the
+		// batches into the follower log, so nothing outlives an iteration.
+		var enc kwire.Scratch
+		req := kwire.FetchReq{
+			Topic:         pt.topic,
+			Partition:     pt.index,
+			MaxBytes:      int32(b.cfg.ReplicaMaxBytes),
+			MaxWaitMicros: int64(b.cfg.ReplicaFetchWait / time.Microsecond),
+			ReplicaID:     b.cluster.brokerIndex(b.id),
+		}
+		var resp kwire.FetchResp
 		backoff := pullRetryMin
 		resync := false
 		fail := func() {
@@ -106,15 +118,8 @@ func (b *Broker) startPullFetcher(pt *Partition) {
 				}
 			}
 			corr++
-			req := &kwire.FetchReq{
-				Topic:         pt.topic,
-				Partition:     pt.index,
-				Offset:        pt.log.NextOffset(),
-				MaxBytes:      int32(b.cfg.ReplicaMaxBytes),
-				MaxWaitMicros: int64(b.cfg.ReplicaFetchWait / time.Microsecond),
-				ReplicaID:     b.cluster.brokerIndex(b.id),
-			}
-			if err := conn.Send(p, kwire.Encode(corr, req)); err != nil {
+			req.Offset = pt.log.NextOffset()
+			if err := conn.Send(p, enc.Encode(corr, &req)); err != nil {
 				fail()
 				continue
 			}
@@ -123,12 +128,9 @@ func (b *Broker) startPullFetcher(pt *Partition) {
 				fail()
 				continue
 			}
-			_, msg, err := kwire.Decode(raw)
+			_, err = kwire.DecodeInto(raw, &resp)
+			conn.Recycle(raw)
 			if err != nil {
-				continue
-			}
-			resp, ok := msg.(*kwire.FetchResp)
-			if !ok {
 				continue
 			}
 			if resp.Err != kwire.ErrNone {

@@ -23,6 +23,7 @@ package klog
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"kafkadirect/internal/bufpool"
 	"kafkadirect/internal/krecord"
@@ -390,28 +391,33 @@ func (l *Log) segEndOffset(s *Segment) int64 {
 // Locate finds the segment and byte position of the batch containing offset.
 // It returns ErrOutOfRange for offsets at or beyond the log end.
 func (l *Log) Locate(offset int64) (*Segment, int, error) {
-	if offset < 0 || offset >= l.nextOffset {
-		return nil, 0, ErrOutOfRange
-	}
-	// Segments are ordered by base offset; find the last one starting at or
-	// before the requested offset.
-	var seg *Segment
-	for _, s := range l.segments {
-		if s.baseOffset <= offset {
-			seg = s
-		} else {
-			break
-		}
-	}
+	seg, i := l.locate(offset)
 	if seg == nil {
 		return nil, 0, ErrOutOfRange
 	}
-	for _, e := range seg.index {
-		if offset < e.nextOffset {
-			return seg, e.startPos, nil
-		}
+	return seg, seg.index[i].startPos, nil
+}
+
+// locate returns the segment holding offset and the index of its batch, or a
+// nil segment for offsets outside [0, LEO). Both searches are binary: segment
+// base offsets and batch next offsets only grow, because appends are dense
+// and TruncateTo only ever cuts a suffix.
+func (l *Log) locate(offset int64) (*Segment, int) {
+	if offset < 0 || offset >= l.nextOffset {
+		return nil, 0
 	}
-	return nil, 0, ErrOutOfRange
+	// The last segment starting at or before offset, then its first batch
+	// ending after offset.
+	n := sort.Search(len(l.segments), func(j int) bool { return l.segments[j].baseOffset > offset })
+	if n == 0 {
+		return nil, 0
+	}
+	seg := l.segments[n-1]
+	i := sort.Search(len(seg.index), func(j int) bool { return seg.index[j].nextOffset > offset })
+	if i == len(seg.index) {
+		return nil, 0
+	}
+	return seg, i
 }
 
 // ReadCommitted returns a read-only view of up to maxBytes of committed
@@ -437,31 +443,21 @@ func (l *Log) readUpTo(offset int64, maxBytes int, limit int64) ([]byte, error) 
 		}
 		return nil, nil
 	}
-	seg, start, err := l.Locate(offset)
-	if err != nil {
-		return nil, err
+	seg, i := l.locate(offset)
+	if seg == nil {
+		return nil, ErrOutOfRange
 	}
+	start := seg.index[i].startPos
 	end := start
-	for _, e := range seg.index {
-		if e.startPos < start || e.nextOffset > limit {
-			continue
-		}
-		if e.endPos-start > maxBytes && end > start {
+	// The first batch is taken whole even when it exceeds maxBytes, so that
+	// progress is always possible.
+	for _, e := range seg.index[i:] {
+		if e.nextOffset > limit || (e.endPos-start > maxBytes && end > start) {
 			break
 		}
 		end = e.endPos
 		if end-start >= maxBytes {
 			break
-		}
-	}
-	if end == start {
-		// Even a single batch exceeding maxBytes is returned whole so that
-		// progress is always possible.
-		for _, e := range seg.index {
-			if e.startPos == start && e.nextOffset <= limit {
-				end = e.endPos
-				break
-			}
 		}
 	}
 	if end == start {

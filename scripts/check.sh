@@ -13,6 +13,10 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+# benchpair.sh runs minutes of paired benchmarks, so CI only parses it.
+echo "== bash -n scripts/benchpair.sh =="
+bash -n scripts/benchpair.sh
+
 echo "== go vet ./... =="
 go vet ./...
 
