@@ -48,6 +48,17 @@ func (r *rig) endpoint(name string) *client.Endpoint {
 	return client.NewEndpoint(r.cl, name, client.DefaultConfig())
 }
 
+// keep appends copies of recs to dst. Poll's records alias the consumer's
+// reused memory and are only valid until its next Poll, so a test that
+// gathers records across polls must copy their bytes.
+func keep(dst, recs []krecord.Record) []krecord.Record {
+	for _, r := range recs {
+		r.Key, r.Value = bytes.Clone(r.Key), bytes.Clone(r.Value)
+		dst = append(dst, r)
+	}
+	return dst
+}
+
 func rec(s string) krecord.Record {
 	return krecord.Record{Value: []byte(s), Timestamp: 1}
 }
@@ -205,7 +216,7 @@ func TestConsumerPositionAdvances(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, recs...)
+			got = keep(got, recs)
 		}
 		if got[0].Offset != 4 {
 			t.Fatalf("first delivered offset %d, want 4", got[0].Offset)

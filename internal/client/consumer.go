@@ -15,7 +15,10 @@ import (
 // Consumer is implemented by both consumer stacks.
 type Consumer interface {
 	// Poll returns the next available records (possibly none) starting at
-	// the consumer's position, advancing it past everything returned.
+	// the consumer's position, advancing it past everything returned. The
+	// records, their Key and Value included, alias consumer-owned memory:
+	// they are valid until the next Poll or Close of this consumer, so a
+	// caller that keeps them longer must copy them.
 	Poll(p *sim.Proc) ([]krecord.Record, error)
 	// Position returns the next offset the consumer will return.
 	Position() int64
@@ -51,12 +54,13 @@ type RPCConsumer struct {
 	// retries.
 	redial func(p *sim.Proc) (Transport, error)
 
-	// Reusable encode/decode state for the poll loop. respMsg.Data is set to
-	// nil whenever records escape to the caller (they alias it), so only the
-	// empty-fetch steady state is fully allocation-free.
+	// Reusable encode/decode state for the poll loop. The records Poll
+	// returns alias respMsg.Data and live in out, so both are overwritten
+	// by the next Poll.
 	enc     kwire.Scratch
 	reqMsg  kwire.FetchReq
 	respMsg kwire.FetchResp
+	out     []krecord.Record
 }
 
 // NewTCPConsumer dials the partition leader over TCP.
@@ -167,29 +171,53 @@ func (c *RPCConsumer) pollOnce(p *sim.Proc) ([]krecord.Record, error) {
 		return nil, nil
 	}
 	p.Sleep(c.e.crcTime(len(resp.Data)))
-	var out []krecord.Record
-	// The returned records alias resp.Data; drop the buffer so the next
-	// decode allocates a fresh one instead of overwriting escaped memory.
-	defer func() { c.respMsg.Data = nil }()
-	if _, err := krecord.Scan(resp.Data, func(b krecord.Batch) error {
-		if err := b.Validate(); err != nil {
-			return err
-		}
-		recs, err := b.Records()
-		if err != nil {
-			return err
-		}
-		for _, r := range recs {
-			if r.Offset >= c.offset {
-				out = append(out, r)
-			}
-		}
-		c.offset = b.NextOffset()
-		return nil
-	}); err != nil {
+	out, next, err := decodeBatches(c.out[:0], resp.Data, c.offset)
+	if err != nil {
 		return nil, err
 	}
+	c.out, c.offset = out, next
 	return out, nil
+}
+
+// decodeBatches validates every complete batch at the head of buf and
+// appends the records at or past offset from to out; a partial tail is
+// left alone (§4.4.2). It returns the grown slice and the offset one past
+// the last batch. On error it returns out at its original length and from
+// unchanged, so a consumer that commits the returned offset never skips
+// records it did not deliver. The records alias buf.
+//
+//kdlint:hotpath
+func decodeBatches(out []krecord.Record, buf []byte, from int64) ([]krecord.Record, int64, error) {
+	start, next := len(out), from
+	for {
+		size, ok := krecord.PeekSize(buf)
+		if !ok || size > len(buf) {
+			return out, next, nil
+		}
+		b, n, err := krecord.Parse(buf)
+		if err == nil {
+			err = b.Validate()
+		}
+		if err != nil {
+			return out[:start], from, err
+		}
+		// A fetch from the middle of a batch returns the whole batch; drop
+		// the records before the position, which never moves backwards.
+		first := len(out)
+		if out, err = b.AppendRecords(out); err != nil {
+			return out[:start], from, err
+		}
+		kept := first
+		for _, r := range out[first:] {
+			if r.Offset >= next {
+				out[kept] = r
+				kept++
+			}
+		}
+		out = out[:kept]
+		next = max(next, b.NextOffset())
+		buf = buf[n:]
+	}
 }
 
 // Position returns the next offset to be fetched.
@@ -242,6 +270,74 @@ type consumerFile struct {
 	slotIndex    int32
 }
 
+// readCursor is one partition's read state in an RDMA consumer: the file
+// being read, the next file position to read, the next record offset to
+// deliver, and the bytes read past the last complete batch.
+type readCursor struct {
+	file    consumerFile
+	readPos int64
+	offset  int64
+	partial []byte
+}
+
+// open points the cursor at the file a ConsumeAccessResp granted.
+func (cur *readCursor) open(resp *kwire.ConsumeAccessResp) {
+	cur.file = consumerFile{
+		id:           resp.FileID,
+		addr:         resp.Addr,
+		rkey:         resp.RKey,
+		lastReadable: resp.LastReadable,
+		mutable:      resp.Mutable,
+		slotAddr:     resp.SlotRegionAddr,
+		slotRKey:     resp.SlotRegionRKey,
+		slotIndex:    resp.SlotIndex,
+	}
+	cur.readPos = resp.StartPos
+	cur.partial = cur.partial[:0]
+}
+
+// delivery is the consumer-owned memory an RDMA consumer's records alias:
+// the on-heap copy of completed batches that Kafka's consumer API requires
+// (§5.3) and the decoded records. Both grow once and are reused, so the
+// records are valid until the consumer's next Poll.
+type delivery struct {
+	stable []byte
+	out    []krecord.Record
+}
+
+// take decodes the complete batches at the head of cur.partial. On success
+// it advances cur.offset past them and drops their bytes from cur.partial;
+// on error it changes neither, so the next Poll meets the same error
+// instead of skipping records.
+func (d *delivery) take(p *sim.Proc, e *Endpoint, cur *readCursor) ([]krecord.Record, error) {
+	// Find the boundary of complete batches; a partial tail stays buffered
+	// until more bytes arrive (§4.4.2).
+	consumed := 0
+	for {
+		size, ok := krecord.PeekSize(cur.partial[consumed:])
+		if !ok || consumed+size > len(cur.partial) {
+			break
+		}
+		consumed += size
+	}
+	if consumed == 0 {
+		return nil, nil
+	}
+	// Copy completed batches into the delivery buffer — the copy the paper
+	// attributes to Kafka's consumer API requiring on-heap buffers (§5.3) —
+	// then validate integrity and decode. Records alias the delivery copy,
+	// never the partial buffer, which the next read appends to.
+	d.stable = append(d.stable[:0], cur.partial[:consumed]...)
+	p.Sleep(e.copyTime(consumed) + e.crcTime(consumed))
+	out, next, err := decodeBatches(d.out[:0], d.stable, cur.offset)
+	if err != nil {
+		return nil, err
+	}
+	d.out, cur.offset = out, next
+	cur.partial = append(cur.partial[:0], cur.partial[consumed:]...)
+	return out, nil
+}
+
 // RDMAConsumer reads records with one-sided RDMA Reads: data from the TP
 // file, availability from the metadata slot — zero broker CPU (§4.4.2).
 type RDMAConsumer struct {
@@ -260,12 +356,10 @@ type RDMAConsumer struct {
 	// deep pipelines trade a little latency for bandwidth.
 	Pipeline int
 
-	file    consumerFile
-	readPos int64
-	offset  int64 // next record offset to deliver
-	partial []byte
-	scratch []byte
-	slotBuf []byte
+	readCursor
+	delivery delivery // what Poll returns; reused
+	scratch  []byte
+	slotBuf  []byte
 
 	// Stats for the measurement harness.
 	StatDataReads int
@@ -290,7 +384,7 @@ func NewRDMAConsumer(p *sim.Proc, e *Endpoint, topic string, part int32, offset 
 	}
 	c := &RDMAConsumer{
 		e: e, broker: broker, topic: topic, part: part,
-		qp: qp, session: session, ctl: ctl, offset: offset,
+		qp: qp, session: session, ctl: ctl, readCursor: readCursor{offset: offset},
 		scratch: make([]byte, e.cfg.FetchSize),
 		slotBuf: make([]byte, core.SlotSize),
 	}
@@ -326,18 +420,7 @@ func (c *RDMAConsumer) requestAccess(p *sim.Proc) error {
 	if resp.Err != kwire.ErrNone {
 		return resp.Err.Err()
 	}
-	c.file = consumerFile{
-		id:           resp.FileID,
-		addr:         resp.Addr,
-		rkey:         resp.RKey,
-		lastReadable: resp.LastReadable,
-		mutable:      resp.Mutable,
-		slotAddr:     resp.SlotRegionAddr,
-		slotRKey:     resp.SlotRegionRKey,
-		slotIndex:    resp.SlotIndex,
-	}
-	c.readPos = resp.StartPos
-	c.partial = c.partial[:0]
+	c.readCursor.open(resp)
 	return nil
 }
 
@@ -473,94 +556,34 @@ func (c *RDMAConsumer) pollOnce(p *sim.Proc) ([]krecord.Record, error) {
 
 	// Issue up to Pipeline outstanding reads over consecutive chunks; the
 	// RNIC overlaps them, so bandwidth is no longer one-RTT-per-chunk.
-	depth := c.Pipeline
-	if depth < 1 {
-		depth = 1
-	}
+	depth := max(c.Pipeline, 1)
 	fetch := int64(c.e.cfg.FetchSize)
-	avail := c.file.lastReadable - c.readPos
-	chunks := make([]int64, 0, depth)
-	for len(chunks) < depth && avail > 0 {
-		n := fetch
-		if avail < n {
-			n = avail
-		}
-		chunks = append(chunks, n)
-		avail -= n
+	span := min(c.file.lastReadable-c.readPos, int64(depth)*fetch)
+	if int64(len(c.scratch)) < span {
+		c.scratch = make([]byte, span)
 	}
-	if len(c.scratch) < int(fetch)*len(chunks) {
-		c.scratch = make([]byte, int(fetch)*len(chunks))
-	}
-	pos := c.readPos
-	bufOff := 0
-	for _, n := range chunks {
+	reads := 0
+	for off := int64(0); off < span; off += fetch {
 		err := c.qp.PostSend(rdma.SendWR{
-			Op: rdma.OpRead, Local: c.scratch[bufOff : bufOff+int(n)],
-			RemoteAddr: c.file.addr + uint64(pos), RKey: c.file.rkey,
+			Op: rdma.OpRead, Local: c.scratch[off:min(off+fetch, span)],
+			RemoteAddr: c.file.addr + uint64(c.readPos+off), RKey: c.file.rkey,
 		})
 		if err != nil {
 			return nil, err
 		}
-		pos += n
-		bufOff += int(n)
+		reads++
 	}
-	total := int64(0)
-	for range chunks {
+	for ; reads > 0; reads-- {
 		cqe := c.qp.SendCQ().Poll(p)
 		if cqe.Status != rdma.StatusOK {
 			return nil, fmt.Errorf("%w: read %v", errQPFailed, cqe.Status)
 		}
 		c.StatDataReads++
 	}
-	for _, n := range chunks {
-		total += n
-	}
-	c.readPos += total
+	c.readPos += span
 	p.Sleep(c.e.cfg.ConsumeCPU)
-	c.partial = append(c.partial, c.scratch[:total]...)
-
-	// Find the boundary of complete batches; a partial tail stays buffered
-	// until more bytes arrive (§4.4.2).
-	consumed := 0
-	for {
-		size, ok := krecord.PeekSize(c.partial[consumed:])
-		if !ok || consumed+size > len(c.partial) {
-			break
-		}
-		consumed += size
-	}
-	if consumed == 0 {
-		return nil, nil
-	}
-	// Copy completed batches into a caller-owned buffer — the copy the
-	// paper attributes to Kafka's consumer API requiring on-heap buffers
-	// (§5.3) — then validate integrity and decode. Returned records alias
-	// the stable copy, never the reused partial buffer.
-	stable := make([]byte, consumed)
-	copy(stable, c.partial[:consumed])
-	p.Sleep(c.e.copyTime(consumed) + c.e.crcTime(consumed))
-	c.partial = append(c.partial[:0], c.partial[consumed:]...)
-
-	var out []krecord.Record
-	if _, err := krecord.Scan(stable, func(b krecord.Batch) error {
-		if err := b.Validate(); err != nil {
-			return err
-		}
-		recs, err := b.Records()
-		if err != nil {
-			return err
-		}
-		for _, r := range recs {
-			if r.Offset >= c.offset {
-				out = append(out, r)
-			}
-		}
-		c.offset = b.NextOffset()
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	c.partial = append(c.partial, c.scratch[:span]...)
+	return c.delivery.take(p, c.e, &c.readCursor)
 }
 
 // Position returns the next offset to be delivered.

@@ -96,6 +96,7 @@ type GroupConsumer struct {
 	haveTable bool
 	cellBuf   [group.CellSize]byte
 
+	tagged   []TopicRecord // Poll's reused result
 	rr       int
 	lastBeat sim.Time
 	closed   bool
@@ -409,7 +410,8 @@ func (c *GroupConsumer) onRevoked(p *sim.Proc) {
 
 // Poll returns the next batch of records from one of the member's assigned
 // partitions, sweeping them round-robin. It drives the membership protocol:
-// rejoin when revoked, heartbeat on the configured interval.
+// rejoin when revoked, heartbeat on the configured interval. The records
+// alias consumer-owned memory and are valid until the next Poll or Close.
 func (c *GroupConsumer) Poll(p *sim.Proc) ([]TopicRecord, error) {
 	if c.closed {
 		return nil, ErrProducerClosed
@@ -435,11 +437,8 @@ func (c *GroupConsumer) Poll(p *sim.Proc) ([]TopicRecord, error) {
 			continue
 		}
 		c.rr = (i + 1) % len(c.assigned)
-		out := make([]TopicRecord, len(recs))
-		for j, rec := range recs {
-			out[j] = TopicRecord{Topic: c.assigned[i].Topic, Partition: c.assigned[i].Partition, Record: rec}
-		}
-		return out, nil
+		c.tagged = appendTagged(c.tagged[:0], c.assigned[i].Topic, c.assigned[i].Partition, recs)
+		return c.tagged, nil
 	}
 	c.rr = (c.rr + 1) % len(c.assigned)
 	return nil, nil

@@ -35,6 +35,10 @@ type MultiRDMAConsumer struct {
 	slotBuf     []byte
 	scratch     []byte
 	releaseResp kwire.ReleaseFileResp
+	// delivery and tagged hold what Poll returns; both are reused, so the
+	// records are valid until the next Poll.
+	delivery delivery
+	tagged   []TopicRecord
 
 	// StatMetaReads counts slot-region reads: ONE per refresh, however many
 	// partitions are subscribed. StatDataReads counts data reads.
@@ -45,12 +49,9 @@ type MultiRDMAConsumer struct {
 
 // subscription is the per-partition cursor.
 type subscription struct {
-	topic   string
-	part    int32
-	file    consumerFile
-	readPos int64
-	offset  int64
-	partial []byte
+	topic string
+	part  int32
+	readCursor
 }
 
 // TopicRecord is a record tagged with its origin partition.
@@ -84,7 +85,7 @@ func (c *MultiRDMAConsumer) Subscribe(p *sim.Proc, topic string, part int32, off
 	if lead, err := c.e.leader(topic, part); err != nil || lead != c.broker {
 		return fmt.Errorf("client: %s/%d is not led by %s", topic, part, c.broker.ID())
 	}
-	sub := &subscription{topic: topic, part: part, offset: offset}
+	sub := &subscription{topic: topic, part: part, readCursor: readCursor{offset: offset}}
 	if err := c.access(p, sub); err != nil {
 		return err
 	}
@@ -117,18 +118,7 @@ func (c *MultiRDMAConsumer) access(p *sim.Proc, sub *subscription) error {
 	if resp.Err != kwire.ErrNone {
 		return resp.Err.Err()
 	}
-	sub.file = consumerFile{
-		id:           resp.FileID,
-		addr:         resp.Addr,
-		rkey:         resp.RKey,
-		lastReadable: resp.LastReadable,
-		mutable:      resp.Mutable,
-		slotAddr:     resp.SlotRegionAddr,
-		slotRKey:     resp.SlotRegionRKey,
-		slotIndex:    resp.SlotIndex,
-	}
-	sub.readPos = resp.StartPos
-	sub.partial = sub.partial[:0]
+	sub.readCursor.open(resp)
 	return nil
 }
 
@@ -200,7 +190,8 @@ func (c *MultiRDMAConsumer) refreshAllMetadata(p *sim.Proc) error {
 // Poll performs one consume round across all subscriptions: if any
 // partition has unread committed bytes, read from the next such partition
 // (round-robin); otherwise refresh every slot with one read. An empty
-// result means "nothing new anywhere".
+// result means "nothing new anywhere". The records alias consumer-owned
+// memory and are valid until the next Poll or Close.
 func (c *MultiRDMAConsumer) Poll(p *sim.Proc) ([]TopicRecord, error) {
 	if c.closed {
 		return nil, ErrProducerClosed
@@ -256,43 +247,20 @@ func (c *MultiRDMAConsumer) readFrom(p *sim.Proc, sub *subscription) ([]TopicRec
 	sub.readPos += n
 	p.Sleep(c.e.cfg.ConsumeCPU)
 	sub.partial = append(sub.partial, c.scratch[:n]...)
-
-	consumed := 0
-	for {
-		size, ok := krecord.PeekSize(sub.partial[consumed:])
-		if !ok || consumed+size > len(sub.partial) {
-			break
-		}
-		consumed += size
-	}
-	if consumed == 0 {
-		return nil, nil
-	}
-	stable := make([]byte, consumed)
-	copy(stable, sub.partial[:consumed])
-	p.Sleep(c.e.copyTime(consumed) + c.e.crcTime(consumed))
-	sub.partial = append(sub.partial[:0], sub.partial[consumed:]...)
-
-	var out []TopicRecord
-	if _, err := krecord.Scan(stable, func(b krecord.Batch) error {
-		if err := b.Validate(); err != nil {
-			return err
-		}
-		recs, err := b.Records()
-		if err != nil {
-			return err
-		}
-		for _, r := range recs {
-			if r.Offset >= sub.offset {
-				out = append(out, TopicRecord{Topic: sub.topic, Partition: sub.part, Record: r})
-			}
-		}
-		sub.offset = b.NextOffset()
-		return nil
-	}); err != nil {
+	recs, err := c.delivery.take(p, c.e, &sub.readCursor)
+	if err != nil || len(recs) == 0 {
 		return nil, err
 	}
-	return out, nil
+	c.tagged = appendTagged(c.tagged[:0], sub.topic, sub.part, recs)
+	return c.tagged, nil
+}
+
+// appendTagged appends recs to dst, each tagged with its partition.
+func appendTagged(dst []TopicRecord, topic string, part int32, recs []krecord.Record) []TopicRecord {
+	for _, r := range recs {
+		dst = append(dst, TopicRecord{Topic: topic, Partition: part, Record: r})
+	}
+	return dst
 }
 
 // Position returns the next offset for one subscription (-1 if unknown).

@@ -58,7 +58,7 @@ func TestMultiConsumerSurfacesReleaseRejection(t *testing.T) {
 		}
 		// One subscription on a sealed, fully read file holding slot 0: the
 		// next Poll releases it before asking for the following file.
-		c := &MultiRDMAConsumer{e: e, ctl: ctl, subs: []*subscription{{topic: "t", file: consumerFile{id: 3}}}}
+		c := &MultiRDMAConsumer{e: e, ctl: ctl, subs: []*subscription{{topic: "t", readCursor: readCursor{file: consumerFile{id: 3}}}}}
 		_, pollErr = c.Poll(p)
 		finished = true
 	})

@@ -123,13 +123,7 @@ func (pr *RPCProducer) buildBatch(p *sim.Proc, recs []krecord.Record) ([]byte, e
 	if pr.builder == nil {
 		pr.builder = krecord.NewBuilder(pr.producerID)
 	}
-	pr.builder.Reset()
-	for _, r := range recs {
-		if err := pr.builder.Append(r); err != nil {
-			return nil, err
-		}
-	}
-	batch, err := pr.builder.Bytes()
+	batch, err := pr.builder.Build(recs)
 	if err != nil {
 		return nil, err
 	}
@@ -343,6 +337,12 @@ type RDMAProducer struct {
 	// ackMsg is the reusable decoded acknowledgement (recvAck's result is
 	// consumed before the next recvAck call).
 	ackMsg kwire.ProduceResp
+	// builder encodes synchronous batches: Produce waits for the broker's
+	// acknowledgement of its WRITE (or gives up on a failed QP), so the
+	// next Produce may overwrite the batch. ProduceAsync encodes each batch
+	// afresh, because an in-flight WRITE reads its source bytes when it
+	// lands.
+	builder *krecord.Builder
 }
 
 // NewRDMAProducer establishes QPs and requests RDMA produce access in the
@@ -581,7 +581,10 @@ func (pr *RDMAProducer) Produce(p *sim.Proc, recs ...krecord.Record) (int64, err
 		return 0, errMixedModes
 	}
 	pr.syncUsed = true
-	batch, err := krecord.Encode(pr.producerID, recs...)
+	if pr.builder == nil {
+		pr.builder = krecord.NewBuilder(pr.producerID)
+	}
+	batch, err := pr.builder.Build(recs)
 	if err != nil {
 		return 0, err
 	}

@@ -13,6 +13,17 @@ import (
 	"kafkadirect/internal/sim"
 )
 
+// keep appends copies of recs to dst. Poll's records alias the consumer's
+// reused memory and are only valid until its next Poll, so a test that
+// gathers records across polls must copy their bytes.
+func keep(dst, recs []krecord.Record) []krecord.Record {
+	for _, r := range recs {
+		r.Key, r.Value = bytes.Clone(r.Key), bytes.Clone(r.Value)
+		dst = append(dst, r)
+	}
+	return dst
+}
+
 const us = time.Microsecond
 
 // rig is a running cluster plus driver plumbing.
@@ -98,7 +109,7 @@ func TestTCPProduceConsumeRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, recs...)
+			got = keep(got, recs)
 		}
 		for i, rec := range got {
 			if string(rec.Value) != fmt.Sprintf("msg-%d", i) || rec.Offset != int64(i) {
@@ -577,7 +588,7 @@ func TestRDMAConsumerReadsPreloadedRecords(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, recs...)
+			got = keep(got, recs)
 		}
 		for i, rec := range got {
 			if rec.Offset != int64(i) || string(rec.Value) != fmt.Sprintf("v-%03d", i) {
@@ -805,7 +816,7 @@ func TestOSUProduceConsumeRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, recs...)
+			got = keep(got, recs)
 		}
 		if string(got[4].Value) != "o-4" {
 			t.Fatalf("last record %q", got[4].Value)

@@ -153,15 +153,22 @@ func (b *Builder) Bytes() ([]byte, error) {
 	return buf, nil
 }
 
-// Encode is a convenience for building a single-batch payload from records.
-func Encode(producerID int64, records ...Record) ([]byte, error) {
-	b := NewBuilder(producerID)
+// Build resets the builder, appends records and returns the finished batch.
+// The batch belongs to the builder and is valid until its next use.
+func (b *Builder) Build(records []Record) ([]byte, error) {
+	b.Reset()
 	for _, r := range records {
 		if err := b.Append(r); err != nil {
 			return nil, err
 		}
 	}
 	return b.Bytes()
+}
+
+// Encode is a convenience for building a single-batch payload from records
+// into a new buffer.
+func Encode(producerID int64, records ...Record) ([]byte, error) {
+	return NewBuilder(producerID).Build(records)
 }
 
 // Batch is a read-only view over an encoded batch.
@@ -172,6 +179,8 @@ type Batch struct {
 // PeekSize reports the total encoded size of the batch starting at buf, if
 // enough bytes (12) are present to know it. Consumers use it to reassemble
 // batches from fixed-size RDMA reads (§4.4.2 "Fetch size for RDMA Reads").
+//
+//kdlint:hotpath
 func PeekSize(buf []byte) (int, bool) {
 	if len(buf) < 12 {
 		return 0, false
@@ -186,6 +195,8 @@ func PeekSize(buf []byte) (int, bool) {
 // Parse interprets the start of buf as one batch, returning the view and the
 // number of bytes consumed. It checks structural integrity but not the CRC;
 // call Validate for that.
+//
+//kdlint:hotpath
 func Parse(buf []byte) (Batch, int, error) {
 	if len(buf) < HeaderSize {
 		return Batch{}, 0, ErrTooShort
@@ -210,6 +221,8 @@ func (b Batch) Raw() []byte { return b.raw }
 func (b Batch) Size() int { return len(b.raw) }
 
 // BaseOffset returns the broker-assigned offset of the first record.
+//
+//kdlint:hotpath
 func (b Batch) BaseOffset() int64 { return int64(binary.LittleEndian.Uint64(b.raw[0:])) }
 
 // SetBaseOffset assigns the batch's base offset in place. Because the field
@@ -218,23 +231,34 @@ func (b Batch) BaseOffset() int64 { return int64(binary.LittleEndian.Uint64(b.ra
 func (b Batch) SetBaseOffset(off int64) { binary.LittleEndian.PutUint64(b.raw[0:], uint64(off)) }
 
 // Count returns the number of records in the batch.
+//
+//kdlint:hotpath
 func (b Batch) Count() int { return int(binary.LittleEndian.Uint32(b.raw[18:])) }
 
 // NextOffset returns the offset one past the batch's last record.
+//
+//kdlint:hotpath
 func (b Batch) NextOffset() int64 { return b.BaseOffset() + int64(b.Count()) }
 
 // BaseTime returns the timestamp of the first record.
+//
+//kdlint:hotpath
 func (b Batch) BaseTime() int64 { return int64(binary.LittleEndian.Uint64(b.raw[22:])) }
 
 // ProducerID returns the producer that built the batch.
 func (b Batch) ProducerID() int64 { return int64(binary.LittleEndian.Uint64(b.raw[30:])) }
 
 // CRC returns the stored checksum.
+//
+//kdlint:hotpath
 func (b Batch) CRC() uint32 { return binary.LittleEndian.Uint32(b.raw[13:]) }
 
 // Validate recomputes the CRC32C and checks it, plus structural integrity of
 // every record. This is the verification brokers perform before committing
-// (§4.2.2) and consumers perform on fetched data (§5.3).
+// (§4.2.2) and consumers perform on fetched data (§5.3). It walks the
+// records in place and allocates nothing.
+//
+//kdlint:hotpath
 func (b Batch) Validate() error {
 	if crc32.Checksum(b.raw[17:], castagnoli) != b.CRC() {
 		return ErrBadCRC
@@ -242,36 +266,60 @@ func (b Batch) Validate() error {
 	if b.Count() == 0 {
 		return ErrEmptyBatch
 	}
-	_, err := b.Records()
+	_, err := b.decode(nil, false)
 	return err
 }
 
-// Records decodes all records in the batch, assigning absolute offsets from
-// the batch base offset.
+// Records decodes all records in the batch into a new slice, assigning
+// absolute offsets from the batch base offset.
 func (b Batch) Records() ([]Record, error) {
-	base := b.BaseOffset()
-	baseTime := b.BaseTime()
-	out := make([]Record, 0, b.Count())
-	buf := b.raw[HeaderSize:]
-	for len(buf) > 0 {
-		rl, n := binary.Uvarint(buf)
-		if n <= 0 || rl > uint64(len(buf)-n) {
-			return nil, ErrShortRecord
-		}
-		body := buf[n : n+int(rl)]
-		buf = buf[n+int(rl):]
-		rec, err := decodeRecord(body, base, baseTime)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-	if len(out) != b.Count() {
-		return nil, ErrCorrupt
+	out, err := b.AppendRecords(make([]Record, 0, b.Count()))
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
+// AppendRecords decodes all records in the batch, assigning absolute offsets
+// from the batch base offset, and appends them to dst. The records' Key and
+// Value alias the batch bytes. On error dst is returned at its original
+// length. It does not check the CRC; call Validate for that.
+//
+//kdlint:hotpath
+func (b Batch) AppendRecords(dst []Record) ([]Record, error) {
+	return b.decode(dst, true)
+}
+
+// decode walks every record of the batch, checking its structure and, when
+// keep is set, appending it to dst. It is the one record loop behind
+// Validate and AppendRecords.
+//
+//kdlint:hotpath
+func (b Batch) decode(dst []Record, keep bool) ([]Record, error) {
+	start := len(dst)
+	base, baseTime := b.BaseOffset(), b.BaseTime()
+	n := 0
+	for buf := b.raw[HeaderSize:]; len(buf) > 0; n++ {
+		rl, w := binary.Uvarint(buf)
+		if w <= 0 || rl > uint64(len(buf)-w) {
+			return dst[:start], ErrShortRecord
+		}
+		rec, err := decodeRecord(buf[w:w+int(rl)], base, baseTime)
+		if err != nil {
+			return dst[:start], err
+		}
+		buf = buf[w+int(rl):]
+		if keep {
+			dst = append(dst, rec)
+		}
+	}
+	if n != b.Count() {
+		return dst[:start], ErrCorrupt
+	}
+	return dst, nil
+}
+
+//kdlint:hotpath
 func decodeRecord(body []byte, baseOffset, baseTime int64) (Record, error) {
 	if len(body) < 1 {
 		return Record{}, ErrShortRecord
@@ -306,6 +354,7 @@ func decodeRecord(body []byte, baseOffset, baseTime int64) (Record, error) {
 	}, nil
 }
 
+//kdlint:hotpath
 func readBytesField(buf []byte) ([]byte, []byte, error) {
 	l, n := binary.Uvarint(buf)
 	if n <= 0 {

@@ -2,6 +2,8 @@ package krecord
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -309,5 +311,120 @@ func TestPropertyScanConsumesExactlyWholeBatches(t *testing.T) {
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// reseal recomputes a batch's CRC after a test edits covered bytes, so the
+// structural checks behind the CRC are what rejects the batch.
+func reseal(buf []byte) []byte {
+	binary.LittleEndian.PutUint32(buf[13:], crc32.Checksum(buf[17:], castagnoli))
+	return buf
+}
+
+func TestValidateStructuralChecks(t *testing.T) {
+	good := mustEncode(t, 1,
+		Record{Value: []byte("a"), Timestamp: 1},
+		Record{Value: []byte("b"), Timestamp: 2},
+	)
+	cases := []struct {
+		name string
+		edit func([]byte) []byte
+		want error
+	}{
+		{"crc", func(b []byte) []byte { b[len(b)-1] ^= 1; return b }, ErrBadCRC},
+		{"empty", func(b []byte) []byte {
+			b = b[:HeaderSize]
+			binary.LittleEndian.PutUint32(b[8:], HeaderSize)
+			binary.LittleEndian.PutUint32(b[18:], 0)
+			return reseal(b)
+		}, ErrEmptyBatch},
+		{"count", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[18:], 3); return reseal(b) }, ErrCorrupt},
+		{"short record", func(b []byte) []byte { b[HeaderSize] = 0x7f; return reseal(b) }, ErrShortRecord},
+	}
+	for _, tc := range cases {
+		batch, _, err := Parse(tc.edit(append([]byte(nil), good...)))
+		if err != nil {
+			t.Fatalf("%s: parse: %v", tc.name, err)
+		}
+		if err := batch.Validate(); err != tc.want {
+			t.Errorf("%s: Validate = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+func TestAppendRecordsAppendsAndRestoresDstOnError(t *testing.T) {
+	buf := mustEncode(t, 1,
+		Record{Key: []byte("k"), Value: []byte("a"), Timestamp: 5},
+		Record{Value: []byte("b"), Timestamp: 6},
+	)
+	batch, _, _ := Parse(buf)
+	batch.SetBaseOffset(10)
+	prior := Record{Value: []byte("prior"), Offset: 3}
+	dst, err := batch.AppendRecords([]Record{prior})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dst) != 3 || string(dst[0].Value) != "prior" || string(dst[1].Key) != "k" ||
+		string(dst[2].Value) != "b" || dst[1].Offset != 10 || dst[2].Offset != 11 || dst[2].Timestamp != 6 {
+		t.Fatalf("AppendRecords = %+v", dst)
+	}
+
+	// A record whose length prefix overruns the batch fails the walk
+	// midway; the caller's slice comes back at its original length.
+	bad := append([]byte(nil), buf...)
+	first := HeaderSize + 1 + int(bad[HeaderSize])
+	bad[first] = 0x7f
+	batch, _, _ = Parse(bad)
+	dst, err = batch.AppendRecords([]Record{prior})
+	if err != ErrShortRecord || len(dst) != 1 || string(dst[0].Value) != "prior" {
+		t.Fatalf("AppendRecords on a bad batch = %d records, %v", len(dst), err)
+	}
+	if recs, err := batch.Records(); recs != nil || err != ErrShortRecord {
+		t.Fatalf("Records on a bad batch = %v, %v", recs, err)
+	}
+}
+
+func TestBuildReusesBuilder(t *testing.T) {
+	b := NewBuilder(9)
+	if _, err := b.Build([]Record{{Value: []byte("one"), Timestamp: 1}, {Value: []byte("two"), Timestamp: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := b.Build([]Record{{Value: []byte("three"), Timestamp: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mustEncode(t, 9, Record{Value: []byte("three"), Timestamp: 4})
+	if !bytes.Equal(buf, want) {
+		t.Fatalf("second Build differs from Encode:\n got %x\nwant %x", buf, want)
+	}
+}
+
+// The validate/decode steps of the record path are allocation-free: brokers
+// validate every produced batch and consumers validate and decode every
+// fetched one into a reused slice.
+func TestValidateAndAppendRecordsAllocFree(t *testing.T) {
+	recs := make([]Record, 8)
+	for i := range recs {
+		recs[i] = Record{Key: []byte("key"), Value: bytes.Repeat([]byte{byte(i)}, 100), Timestamp: int64(i)}
+	}
+	batch, _, err := Parse(mustEncode(t, 1, recs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if batch.Validate() != nil {
+			t.Fatal("validate failed")
+		}
+	}); n != 0 {
+		t.Fatalf("Validate: %v allocs/op, want 0", n)
+	}
+	dst := make([]Record, 0, len(recs))
+	if n := testing.AllocsPerRun(100, func() {
+		var err error
+		if dst, err = batch.AppendRecords(dst[:0]); err != nil || len(dst) != len(recs) {
+			t.Fatal("decode failed")
+		}
+	}); n != 0 {
+		t.Fatalf("AppendRecords: %v allocs/op, want 0", n)
 	}
 }

@@ -16,6 +16,10 @@
 //		...
 //	})
 //
+// Records returned by a consumer's Poll alias memory the consumer reuses:
+// they are valid until its next Poll or Close, so copy the Key and Value of
+// any record kept longer.
+//
 // Everything below the facade is exported through the subpackages:
 // internal/sim (the DES kernel), internal/fabric and internal/rdma (the
 // network and verbs simulators), internal/core (the broker), and
